@@ -109,7 +109,6 @@ FLOORS = {
     "BENCH_kernels.json": {
         "similarity_matrix.speedup": 5.0,
         "large_refresh.speedup": 3.0,
-        "process_pool_compile.speedup": 1.5,
         "greedy_cover_round.speedup": 1.0,
     },
 }

@@ -5,13 +5,11 @@ One primitive, three spends, one artifact: ``BENCH_kernels.json`` records
 * the all-pairs similarity matrix at 10³ attributes — global context
   grouping + exact fixed-point segmented sums vs the per-pair
   intersection path (required ≥ 5x, asserted);
-* a large γ-refresh — batched joint-bincount candidate syncs vs the
-  per-candidate loop (required ≥ 3x, asserted);
+* a large γ-refresh — the engine's count-block syncs vs the per-candidate
+  count oracle of ``tests/engine/count_oracle.py`` (required ≥ 3x,
+  asserted);
 * greedy-cover dominators — per-round segmented-fsum scoring on the
-  compiled index vs the dict-walking reference (must not be slower);
-* process-pool shard compiles at 4 workers vs a serial compile
-  (required > 1.5x on multi-core runners; single-core runners record a
-  ``_skipped`` marker the regression gate honours instead).
+  compiled index vs the dict-walking reference (must not be slower).
 
 Every comparison asserts *exact* equality of results — the kernel is only
 admissible because it is exactly rounded, and these benchmarks double as
@@ -21,10 +19,8 @@ parity checks at scales the unit suites do not reach.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
-from types import MethodType
 
 import numpy as np
 import pytest
@@ -38,6 +34,7 @@ from repro.data.database import Database
 from repro.engine import AssociationEngine
 from repro.hypergraph.dhg import DirectedHypergraph
 from repro.hypergraph.index import HypergraphIndex
+from tests.engine.count_oracle import PerCandidateCounts
 
 pytestmark = pytest.mark.bench
 
@@ -155,15 +152,15 @@ def test_bench_similarity_matrix_at_1000_attributes():
 
 
 def test_bench_large_refresh():
-    """Steady-state γ-refreshes: batched candidate syncs vs the loop.
+    """Steady-state γ-refreshes: count-block syncs vs the per-candidate loop.
 
-    The regime the batching targets is many candidates per head brought
-    forward over a modest row block — exactly what every refresh after
-    the first sees, and what recovery replays after a count-state
-    checkpoint (the WAL tail).  Full-history rebuilds deliberately stay
-    on the per-candidate loop (``_BATCH_BLOCK_LIMIT``): at thousands of
-    rows each candidate's arrays are cache-resident and batching's only
-    win — amortized call overhead — no longer pays.
+    The regime is many candidates per head brought forward over a modest
+    row block — what every refresh after the first sees, and what
+    recovery replays after a count-state checkpoint (the WAL tail).  The
+    engine's side is its whole refresh (counts, significance, edge
+    reconciliation); the reference is only the per-candidate oracle
+    bringing the same candidates' counts and max sums up to date, one
+    ``contingency_from_codes`` call each.
     """
     num_attrs = 32
     base_rows, block, waves = 2000, 64, 4
@@ -173,107 +170,47 @@ def test_bench_large_refresh():
         for wave in range(waves)
     ]
 
-    def refresh_waves(per_candidate: bool):
-        engine = AssociationEngine(
-            [f"S{a:03d}" for a in range(num_attrs)], REFRESH_CONFIG
-        )
-        if per_candidate:
-            engine._sync_tables_batch = MethodType(
-                lambda self, head, groups: {
-                    tails: self._sync_table(head, tails) for tails in groups
-                },
-                engine,
-            )
-        engine.append_rows(seeds[0])
-        engine.refresh()  # initial full build, identical on both paths
-        total = 0.0
-        for wave in seeds[1:]:
-            engine.append_rows(wave)
-            start = time.perf_counter()
-            engine.refresh()
-            total += time.perf_counter() - start
-        return total, engine
+    engine = AssociationEngine([f"S{a:03d}" for a in range(num_attrs)], REFRESH_CONFIG)
+    engine.append_rows(seeds[0])
+    engine.refresh()  # initial full build, untimed on both sides
+    keys = list(engine.export_count_states())
+    oracle = PerCandidateCounts()
+    oracle.sync(engine, keys)
+    t_engine = t_oracle = 0.0
+    for wave in seeds[1:]:
+        engine.append_rows(wave)
+        start = time.perf_counter()
+        engine.refresh()
+        t_engine += time.perf_counter() - start
+        start = time.perf_counter()
+        oracle.sync(engine, keys)
+        t_oracle += time.perf_counter() - start
 
-    t_batched, batched_engine = refresh_waves(per_candidate=False)
-    t_loop, loop_engine = refresh_waves(per_candidate=True)
+    exported = engine.export_count_states()
+    assert set(exported) == set(oracle.states)
+    for key, (counts, upto) in exported.items():
+        oracle_counts, oracle_upto, _ = oracle.states[key]
+        assert upto == oracle_upto
+        assert np.array_equal(counts, oracle_counts), key
 
-    batched_edges = sorted(
-        (edge.key(), edge.weight) for edge in batched_engine.hypergraph.edges()
-    )
-    loop_edges = sorted(
-        (edge.key(), edge.weight) for edge in loop_engine.hypergraph.edges()
-    )
-    assert batched_edges == loop_edges
-
-    speedup = t_loop / t_batched
+    speedup = t_oracle / t_engine
     RESULTS["large_refresh"] = {
         "attributes": num_attrs,
         "base_rows": base_rows,
         "block_rows": block,
         "waves": waves,
-        "batched_s": t_batched,
-        "per_candidate_s": t_loop,
+        "candidates": len(keys),
+        "engine_refresh_s": t_engine,
+        "oracle_counts_s": t_oracle,
         "speedup": speedup,
     }
     emit(
-        "Steady-state refresh — joint bincount batches vs per-candidate syncs",
-        f"per-candidate {t_loop:6.3f} s, batched {t_batched:6.3f} s "
+        "Steady-state refresh — count blocks vs per-candidate oracle",
+        f"per-candidate {t_oracle:6.3f} s, count blocks {t_engine:6.3f} s "
         f"({speedup:.1f}x) over {waves} x {block}-row refresh waves, "
         f"{num_attrs} heads",
     )
-    assert speedup >= 3.0, f"batched refresh only {speedup:.2f}x faster"
-
-
-def test_bench_process_pool_compile():
-    """Full shard recompile: 4 fork-pool workers vs serial (multi-core only)."""
-    cpus = os.cpu_count() or 1
-    if cpus < 2:
-        RESULTS["process_pool_compile"] = {"_skipped": 1, "cpu_count": cpus}
-        emit(
-            "Process-pool shard compiles",
-            f"skipped: {cpus} CPU core(s); scaling needs at least 2",
-        )
-        return
-
-    database = synthetic_market(num_attrs=48, num_rows=400, seed=3)
-    engine = AssociationEngine.from_database(database, REFRESH_CONFIG)
-
-    def full_compile():
-        engine._shards.clear()
-        engine._dirty_shards.update(engine.head_attributes)
-        engine._stitched = None
-        start = time.perf_counter()
-        engine._compiled_index()
-        return time.perf_counter() - start
-
-    engine.compile_workers = None
-    t_serial = min(full_compile() for _ in range(3))
-    serial_shards = dict(engine._shards)
-
-    engine.compile_workers = 4
-    engine.compile_backend = "process"
-    t_pool = min(full_compile() for _ in range(3))
-    for vertex, shard in engine._shards.items():
-        reference = serial_shards[vertex]
-        assert shard.weights.tolist() == reference.weights.tolist()
-        assert shard.tail_ids.tolist() == reference.tail_ids.tolist()
-        assert shard.head_ids.tolist() == reference.head_ids.tolist()
-
-    speedup = t_serial / t_pool
-    RESULTS["process_pool_compile"] = {
-        "cpu_count": cpus,
-        "heads": len(engine.head_attributes),
-        "edges": engine.hypergraph.num_edges,
-        "serial_s": t_serial,
-        "pool_s": t_pool,
-        "speedup": speedup,
-    }
-    emit(
-        "Process-pool shard compiles — 4 fork workers vs serial",
-        f"serial {t_serial * 1e3:8.1f} ms, pool {t_pool * 1e3:8.1f} ms "
-        f"({speedup:.1f}x on {cpus} cores)",
-    )
-    assert speedup > 1.5, f"process pool only {speedup:.2f}x at 4 workers"
+    assert speedup >= 3.0, f"count-block refresh only {speedup:.2f}x faster"
 
 
 def test_bench_greedy_cover_round():

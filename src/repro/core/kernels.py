@@ -38,11 +38,8 @@ Backends
 --------
 ``numpy`` (default) is the vectorized superaccumulator; ``fsum`` is a pure
 Python ``math.fsum`` loop kept as the always-available reference/escape
-hatch.  Requesting ``numba`` selects a JIT-compiled variant only when the
-optional :mod:`numba` package is importable — it is **not** a dependency —
-and otherwise falls back to ``numpy`` (the returned name tells which one is
-active).  All backends are exactly rounded, so switching can never change a
-result, only its speed.
+hatch.  Both are exactly rounded, so switching can never change a result,
+only its speed.
 """
 
 from __future__ import annotations
@@ -81,14 +78,6 @@ _EMPTY_F8 = np.empty(0, dtype=np.float64)
 #: so one chunk moves any limb by ``< 2**(26 + 1 + 32) = 2**59`` — far from
 #: the ``int64`` edge even on top of previously folded residue.
 _ADD_CHUNK = 1 << 26
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba as _numba  # noqa: F401
-
-    _NUMBA_AVAILABLE = True
-except ImportError:
-    _NUMBA_AVAILABLE = False
-
 
 class SegmentedAccumulator:
     """Exact fixed-point totals for ``num_segments`` independent sums.
@@ -348,9 +337,8 @@ _active_backend = "numpy"
 
 
 def available_backends() -> tuple[str, ...]:
-    """Backends that can actually run here (``numba`` only when importable)."""
-    names = tuple(_BACKENDS)
-    return names + ("numba",) if _NUMBA_AVAILABLE else names
+    """The backends :func:`set_backend` accepts."""
+    return tuple(_BACKENDS)
 
 
 def active_backend() -> str:
@@ -359,18 +347,13 @@ def active_backend() -> str:
 
 
 def set_backend(name: str) -> str:
-    """Select the reduction backend; returns the name actually activated.
+    """Select the reduction backend; returns its name.
 
-    ``numba`` degrades to ``numpy`` when the optional package is missing
-    (it is deliberately not a dependency), so deployments can request the
-    JIT unconditionally.  Every backend is exactly rounded — this knob can
-    change speed, never results.
+    Every backend is exactly rounded — this knob can change speed, never
+    results.  An unknown name raises
+    :class:`~repro.exceptions.ConfigurationError`.
     """
     global _active_backend
-    if name == "numba" and not _NUMBA_AVAILABLE:
-        name = "numpy"
-    elif name == "numba":  # pragma: no cover - needs the optional package
-        name = "numpy"  # JIT variant not yet implemented; numpy is exact anyway
     if name not in _BACKENDS:
         raise ConfigurationError(
             f"unknown kernel backend {name!r}; available: {available_backends()}"
@@ -457,5 +440,5 @@ def batched_group_max(counts: np.ndarray, cardinality: int) -> np.ndarray:
     and one axis reduction instead of a scatter, which is what the batched
     γ-refresh leans on.
     """
-    batch = counts.shape[0]
-    return counts.reshape(batch, -1, cardinality).max(axis=2)
+    batch, cells = counts.shape
+    return counts.reshape(batch, cells // cardinality, cardinality).max(axis=2)

@@ -1,9 +1,9 @@
 """Persistence of the engine's per-candidate contingency count arrays.
 
-The engine's append-speed trick is a persistent :class:`_CountState` per
+The engine's append-speed trick is persistent contingency counts for every
 γ-significance candidate: appending rows only adds the new rows' cell
-counts, and re-evaluating significance reads cached ``max_sum``
-accumulators instead of sweeping the data.  Those arrays were historically
+counts, and re-evaluating significance reads cached max-sum accumulators
+instead of sweeping the data.  Those arrays were historically
 *not* persisted — a restored engine rebuilt every candidate's contingency
 array from the row store on its first refresh, O(candidates × rows), which
 dominated cold opens.
@@ -13,7 +13,8 @@ storage checkpoints can carry them.  A state is ``(key, upto, counts)``:
 
 * ``key`` — the candidate as attribute *indices*: ``(head,)`` for the
   per-column baseline counts, ``(head, tail)`` / ``(head, tail, tail)``
-  for contingency tables (matching the engine's ``_tables`` keys);
+  for contingency tables (as
+  :meth:`~repro.engine.AssociationEngine.export_count_states` keys them);
 * ``upto`` — how many stored rows the array has absorbed (an adopted
   state with ``upto < num_rows`` is caught up incrementally, O(delta));
 * ``counts`` — the integer array itself, shape ``(cardinality,) ** len(key)``

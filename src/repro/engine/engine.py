@@ -3,13 +3,26 @@
 :class:`AssociationEngine` maintains the paper's association hypergraph
 *online*.  Where :class:`repro.core.builder.AssociationHypergraphBuilder`
 re-derives every contingency table from scratch on each build, the engine
-keeps an append-only encoded row store plus a persistent count array per
-γ-significance candidate ``(T, {Y})``; appending observations only adds the
-new rows' cell counts, and re-evaluating significance reads the cached
-arrays instead of sweeping the data.  The maintained hypergraph is
-bit-identical to a fresh batch build on the same rows (the parity tests
-assert exact edge sets and weights), so every downstream algorithm —
-similarity, clustering, dominators, classification — runs unchanged on it.
+keeps an append-only encoded row store plus persistent contingency counts
+for every γ-significance candidate ``(T, {Y})``; appending observations
+only adds the new rows' cell counts, and re-evaluating significance reads
+cached per-candidate ACV numerators instead of sweeping the data.  The
+maintained hypergraph is bit-identical to a fresh batch build on the same
+rows (the parity tests assert exact edge sets and weights), so every
+downstream algorithm — similarity, clustering, dominators,
+classification — runs unchanged on it.
+
+Counts live in one *count block* per ``(head, arity)``: a single integer
+matrix with one row per candidate, the per-candidate sums of group
+maxima, and the row count and domain generation the matrix reflects.
+There is exactly one way to bring a block up to date: count the rows it
+has not absorbed with one joint ``bincount`` per bounded tile of
+candidates, add them in, and recompute the maxima.  A rebuild — domain
+growth, or adopted states that disagree on how many rows they absorbed —
+is the same sync starting from row 0 and a zero matrix.  When the
+candidate set changes (a ``max_tail_candidates`` pool moved), surviving
+candidates keep their rows and only the entering ones are counted from
+row 0 before the shared sync.
 
 Refreshes are lazy and scoped: ``append_rows`` only marks head attributes
 dirty, and a query refreshes no more heads than it needs (``classify``
@@ -47,9 +60,7 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 from collections.abc import Iterable, Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import combinations
 from pathlib import Path
@@ -58,11 +69,7 @@ from typing import Any
 import numpy as np
 
 from repro import obs
-from repro.core.builder import (
-    BuildStats,
-    association_table_from_counts,
-    contingency_from_codes,
-)
+from repro.core.builder import BuildStats, association_table_from_counts
 from repro.core.classifier import AssociationBasedClassifier, Prediction
 from repro.core.kernels import batched_group_max
 from repro.core.clustering import AttributeClustering, cluster_attributes
@@ -103,17 +110,9 @@ __all__ = ["AssociationEngine", "EngineCounters", "SNAPSHOT_FORMAT"]
 #: Identifier written into (and required from) engine snapshot documents.
 SNAPSHOT_FORMAT = "repro.engine/1"
 
-#: Heads refreshed in small-block appends use scalar cell increments below
-#: this block size; larger blocks switch to a vectorized bincount add.
-_SCALAR_BLOCK_LIMIT = 8
-
-#: Row blocks above this size leave the batched multi-candidate sync for
-#: the per-candidate loop.  Batching one joint bincount over G candidates
-#: removes ~G numpy-call overheads, which dominates when blocks are small
-#: (steady-state refreshes, checkpoint tail replay); at full-history scale
-#: the per-candidate arrays are cache-resident while the joint
-#: ``(G, rows)`` code matrix is memory-bound, and the loop wins.
-_BATCH_BLOCK_LIMIT = 1024
+#: Codes per joint-``bincount`` tile of a count-block sync: a tile holds
+#: ``rows x candidates`` codes, so each int64 temporary stays at 512 KB.
+_TILE_ELEMENTS = 1 << 16
 
 # Observability handles (no-ops until ``repro.obs.enable`` activates a
 # registry).  The per-instance ``EngineCounters`` ints below stay the
@@ -217,116 +216,55 @@ class EngineCounters:
         self._owner._reset_counters()
 
 
-class _CountState:
-    """A persistent count array plus how much of the store it has absorbed.
+class _CountBlock:
+    """The contingency counts of one head's same-arity candidates.
 
-    Alongside the raw contingency counts the state carries the derived
-    quantities the γ-significance test needs — the per-tail-group maxima
-    over head values and their sum (the ACV numerator) — maintained in
-    O(1) per appended row so a refresh never has to reduce the array.
-    ``defer_derived`` skips computing them (both become ``None``): count
-    states adopted in bulk from a persisted archive pay the two array
-    reductions only when their candidate is actually consulted
-    (:meth:`derive`), which keeps adoption O(states) in cheap Python work.
-    """
-
-    __slots__ = ("counts", "flat", "group_max", "max_sum", "upto", "generation")
-
-    def __init__(
-        self,
-        counts: np.ndarray,
-        upto: int,
-        generation: int,
-        *,
-        defer_derived: bool = False,
-    ) -> None:
-        self.counts = counts
-        self.flat = counts.reshape(-1)
-        self.upto = upto
-        self.generation = generation
-        if defer_derived:
-            self.group_max = None
-            self.max_sum = None
-        else:
-            self.derive()
-
-    def derive(self) -> None:
-        """(Re)compute ``group_max`` and ``max_sum`` from the raw counts."""
-        cardinality = self.counts.shape[-1]
-        self.group_max = self.counts.reshape(-1, cardinality).max(axis=1)
-        self.max_sum = int(self.group_max.sum())
-
-
-class _BatchPlan:
-    """Cached artifacts of one head's batched candidate sync.
-
-    The gather plan (``tail_order`` + ``selector``) maps each candidate's
-    tail attributes onto the deduplicated column matrix a joint bincount
-    reads — it depends only on ``groups`` and survives any number of
-    refreshes.  After a sync that brought *every* candidate current in a
-    single batched bucket, the plan additionally records the aligned fast
-    state: the member states (whose count rows all alias ``matrix``), the
-    shared ``group_max`` matrix, and the ``(upto, generation, epoch)``
-    stamp under which that alignment holds.  A later sync that matches
-    the stamp can skip the per-candidate partition entirely and advance
-    the whole group with three array operations.
+    Row ``i`` of ``matrix`` holds candidate ``groups[i]``'s flat count
+    array (tail axes first, head axis last) over the first ``upto`` stored
+    rows of domain ``generation``; ``max_sums[i]`` is the sum of its
+    per-tail-group maxima over head values — the ACV numerator.  Arity 0
+    is the head column's own value counts: one candidate with no tails,
+    whose max sum is the baseline numerator.  The joint count's gather
+    plan is ``columns`` — the attribute indices any candidate uses as a
+    tail — plus ``selector``, each candidate's tails as positions in
+    ``columns``.
     """
 
     __slots__ = (
         "groups",
-        "tail_order",
+        "row_of",
+        "columns",
         "selector",
-        "members",
+        "shape",
         "matrix",
-        "group_max",
+        "max_sums",
         "upto",
         "generation",
-        "epoch",
     )
 
     def __init__(
         self,
         groups: tuple[tuple[str, ...], ...],
-        tail_order: tuple[str, ...],
+        columns: np.ndarray,
         selector: np.ndarray,
+        shape: tuple[int, ...],
+        matrix: np.ndarray,
+        upto: int,
+        generation: int,
     ) -> None:
         self.groups = groups
-        self.tail_order = tail_order
+        self.row_of = {tails: row for row, tails in enumerate(groups)}
+        self.columns = columns
         self.selector = selector
-        self.members: list[_CountState] | None = None
-        self.matrix: np.ndarray | None = None
-        self.group_max: np.ndarray | None = None
-        self.upto = -1
-        self.generation = -1
-        self.epoch = -1
+        self.shape = shape
+        self.matrix = matrix
+        self.max_sums: list[int] | None = None
+        self.upto = upto
+        self.generation = generation
 
-
-#: Engine whose shards a forked compile worker should read.  Set (and
-#: cleared) by ``_compile_shards_process`` around its pool; forked children
-#: inherit the reference through copy-on-write memory, so no hypergraph or
-#: payload data is ever pickled *into* a worker.
-_FORK_COMPILE_ENGINE: "AssociationEngine | None" = None
-
-
-def _compile_shard_forked(head: str) -> IndexShard:
-    """Process-pool worker: compile one head's shard from inherited state.
-
-    Runs in a forked child.  The result is stripped to its numpy arrays
-    before pickling back (derived key caches rehydrate lazily in the
-    parent), so the per-shard transfer is a handful of flat arrays.
-    """
-    engine = _FORK_COMPILE_ENGINE
-    if engine is None:
-        raise EngineError("forked shard compile outside a compile pool")
-    shard = IndexShard.compile(
-        engine._attr_index[head],
-        engine._hypergraph.in_edges(head),
-        engine._attr_index,
-        len(engine._attributes),
-    )
-    shard._tail_keys = None
-    shard._head_keys = None
-    return shard
+    def counts(self, tails: tuple[str, ...]) -> np.ndarray:
+        """One candidate's count array: a view of its matrix row."""
+        return self.matrix[self.row_of[tails]].reshape(self.shape)
 
 
 @dataclass(frozen=True)
@@ -355,29 +293,14 @@ class AssociationEngine:
         are adopted automatically.
     cache_size:
         Maximum number of memoized query results.
-    compile_workers:
-        When greater than 1, dirty-head shard compiles run on a pool of at
-        most this many workers (shards compile independently by
-        construction, and the compiled arrays are identical to a serial
-        build).  ``None`` (the default) or 1 compiles serially.  The knob
-        is a plain attribute and may be changed at any time.
-    compile_backend:
-        ``"thread"`` (the default) fans shard compiles out over a thread
-        pool; ``"process"`` uses a fork-based process pool instead, so the
-        per-edge Python work of many dirty heads runs on multiple cores
-        rather than interleaved under one GIL.  Forked workers read the
-        live hypergraph through copy-on-write memory and send back
-        arrays-only shards, so neither direction pickles edge payloads.
-        On platforms without the ``fork`` start method the process
-        backend silently degrades to the thread pool.
 
     Notes
     -----
-    The engine trades memory for append speed: it keeps one persistent
-    count array per γ-significance candidate, which with unrestricted
-    2-to-1 candidates is O(|A|³) small arrays.  That is what makes a
-    day's append independent of history length, but for markets beyond a
-    few hundred attributes set ``config.max_tail_candidates`` (the same
+    The engine trades memory for append speed: it keeps persistent counts
+    for every γ-significance candidate, which with unrestricted 2-to-1
+    candidates is O(|A|³) cells.  That is what makes a day's append
+    independent of history length, but for markets beyond a few hundred
+    attributes set ``config.max_tail_candidates`` (the same
     lever the batch builder documents for large markets) to bound the
     pair-candidate pool per head.
 
@@ -399,20 +322,11 @@ class AssociationEngine:
         heads: Iterable[str] | None = None,
         values: Iterable[Any] = (),
         cache_size: int = 4096,
-        compile_workers: int | None = None,
-        compile_backend: str = "thread",
     ) -> None:
         attrs = tuple(attributes)
         if len(attrs) < 2:
             raise ConfigurationError("association engines need at least two attributes")
-        if compile_backend not in ("thread", "process"):
-            raise ConfigurationError(
-                f"unknown compile backend {compile_backend!r}; "
-                "expected 'thread' or 'process'"
-            )
         self.config = config or CONFIG_C1
-        self.compile_workers = compile_workers
-        self.compile_backend = compile_backend
         self._attributes = attrs
         self._attr_index = {a: i for i, a in enumerate(attrs)}
         if len(self._attr_index) != len(attrs):
@@ -430,14 +344,13 @@ class AssociationEngine:
         self._store = EncodedRowStore(attrs, values=values)
         self._hypergraph = DirectedHypergraph(attrs)
         self._dirty: set[str] = set(self.head_attributes)
-        self._head_counts: dict[str, _CountState] = {}
-        self._tables: dict[tuple[str, ...], _CountState] = {}
-        #: Cached gather plans for batched candidate syncs, keyed by
-        #: ``(head, arity, group size)`` — see :class:`_BatchPlan`.
-        self._batch_plans: dict[tuple[str, int, int], _BatchPlan] = {}
-        #: Bumped whenever a count state is created, replaced, or mutated
-        #: outside the batched sync, invalidating every plan's fast state.
-        self._tables_epoch = 0
+        #: One count block per ``(head, arity)`` — see :class:`_CountBlock`.
+        self._blocks: dict[tuple[str, int], _CountBlock] = {}
+        #: Adopted count states not yet merged into a block, per
+        #: ``(head, arity)`` and then per tail tuple: ``(counts, upto)``.
+        self._adopted: dict[
+            tuple[str, int], dict[tuple[str, ...], tuple[np.ndarray, int]]
+        ] = {}
         self._head_summary: dict[str, _HeadSummary] = {}
         self._stale_payloads: dict[
             tuple[frozenset[str], frozenset[str]], tuple[tuple[str, ...], str, int]
@@ -481,7 +394,6 @@ class AssociationEngine:
         *,
         heads: Iterable[str] | None = None,
         cache_size: int = 4096,
-        compile_workers: int | None = None,
     ) -> "AssociationEngine":
         """Seed an engine with every observation of a discretized database."""
         engine = cls(
@@ -490,7 +402,6 @@ class AssociationEngine:
             heads=heads,
             values=database.values,
             cache_size=cache_size,
-            compile_workers=compile_workers,
         )
         engine.append_rows(database)
         return engine
@@ -635,32 +546,6 @@ class AssociationEngine:
             self._head_signatures[head] = self._current_signature(head)
         return shard
 
-    def _compile_shards_process(
-        self, heads: Sequence[str], workers: int
-    ) -> list[IndexShard]:
-        """Compile many heads' shards on a fork-based process pool.
-
-        The engine itself is published through a module global immediately
-        before the pool starts, so forked workers inherit the hypergraph by
-        copy-on-write instead of receiving pickled edges; only the
-        arrays-only results travel back.  Signatures are recorded in the
-        parent (children never mutate engine state).
-        """
-        global _FORK_COMPILE_ENGINE
-        context = multiprocessing.get_context("fork")
-        _FORK_COMPILE_ENGINE = self
-        try:
-            with _OBS_SHARD_COMPILE.time(pool=len(heads)):
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(heads)), mp_context=context
-                ) as pool:
-                    shards = list(pool.map(_compile_shard_forked, heads))
-        finally:
-            _FORK_COMPILE_ENGINE = None
-        for head in heads:
-            self._head_signatures[head] = self._current_signature(head)
-        return shards
-
     def _adopt_pending_shards(self) -> None:
         """Adopt sidecar arrays from ``load`` without compiling anything.
 
@@ -740,32 +625,8 @@ class AssociationEngine:
             if head in self._dirty_shards or attr_index[head] not in self._shards
         ]
         if rebuild:
-            workers = self.compile_workers
-            if workers is not None and workers > 1 and len(rebuild) > 1:
-                # Shards compile independently by construction (each reads
-                # only its own head's in-edges), so the dirty-head rebuild
-                # loop fans out over a worker pool.  ``_compile_shard``
-                # records each head's signature under its own key, so
-                # concurrent compiles never touch the same dict entry.
-                if (
-                    self.compile_backend == "process"
-                    and "fork" in multiprocessing.get_all_start_methods()
-                ):
-                    for head, shard in zip(
-                        rebuild, self._compile_shards_process(rebuild, workers)
-                    ):
-                        self._shards[attr_index[head]] = shard
-                else:
-                    with ThreadPoolExecutor(
-                        max_workers=min(workers, len(rebuild))
-                    ) as pool:
-                        for head, shard in zip(
-                            rebuild, pool.map(self._compile_shard, rebuild)
-                        ):
-                            self._shards[attr_index[head]] = shard
-            else:
-                for head in rebuild:
-                    self._shards[attr_index[head]] = self._compile_shard(head)
+            for head in rebuild:
+                self._shards[attr_index[head]] = self._compile_shard(head)
             if len(rebuild) == len(self.head_attributes):
                 self._full_compiles += 1
                 _OBS_FULL_COMPILES.inc()
@@ -822,11 +683,14 @@ class AssociationEngine:
             rows = rows.to_rows()
         with _OBS_APPEND.time():
             try:
-                added, _grew = self._store.append(
+                added, grew = self._store.append(
                     rows, assume_normalized=assume_normalized
                 )
             except SchemaError as error:
                 raise EngineError(str(error)) from error
+            if grew:
+                # Every code moved: adopted states no longer describe them.
+                self._adopted.clear()
             if added:
                 self._appended_rows += added
                 _OBS_APPENDED.inc(added)
@@ -864,9 +728,10 @@ class AssociationEngine:
         todo = [h for h in self.head_attributes if h in wanted]
         changed_all: set[str] = set()
         topo_all: set[str] = set()
+        row_codes: dict[int, np.ndarray] = {}
         for head in todo:
             with _OBS_REFRESH_HEAD.time(head=head):
-                changed, topo = self._refresh_head(head)
+                changed, topo = self._refresh_head(head, row_codes)
             changed_all |= changed
             topo_all |= topo
             self._dirty.discard(head)
@@ -880,14 +745,17 @@ class AssociationEngine:
             self._attr_topo_version[attribute] += 1
         return frozenset(changed_all)
 
-    def _refresh_head(self, head: str) -> tuple[set[str], set[str]]:
+    def _refresh_head(
+        self, head: str, row_codes: dict[int, np.ndarray]
+    ) -> tuple[set[str], set[str]]:
         """Recompute the significance set of one head and reconcile its edges.
 
-        ACVs come from the per-candidate ``max_sum`` accumulators, so this
-        is arithmetic over cached integers — no pass over the rows, no array
-        reductions.  Edge payloads (association tables) are *not* rebuilt
-        here: they are marked stale and materialized lazily by
-        :meth:`_materialize_payloads` when a consumer actually reads them.
+        ACVs come from the head's count blocks (:meth:`_sync_block`, which
+        shares ``row_codes`` across the heads of one refresh), so this is
+        arithmetic over cached integers plus a count of the rows appended
+        since the head's last refresh.  Edge payloads (association tables)
+        are *not* rebuilt here: they are marked stale and materialized
+        lazily by :meth:`_materialize_payloads` when a consumer reads them.
 
         Returns ``(changed, topo_changed)``: the conservatively changed
         attributes (any surviving edge counts — its payload may differ even
@@ -916,22 +784,24 @@ class AssociationEngine:
         candidates = 0
 
         if total > 0:
-            baseline = self._sync_head_counts(head).max_sum / total
+            sync = self._sync_block
+            baseline = sync(head, 0, ((),), row_codes).max_sums[0] / total
             others = [a for a in self._attributes if a != head]
             gamma_edge = config.gamma_edge
             gamma_hyperedge = config.gamma_hyperedge
             min_acv = config.min_acv
 
             single_acv: dict[str, float] = {}
-            single_states = self._sync_tables_batch(head, [(a,) for a in others])
-            for tail in others:
-                value = single_states[(tail,)].max_sum / total
+            singles = sync(head, 1, tuple((a,) for a in others), row_codes)
+            for tail, max_sum in zip(others, singles.max_sums):
+                value = max_sum / total
                 single_acv[tail] = value
                 candidates += 1
                 if value >= gamma_edge * baseline and value >= min_acv:
                     desired[frozenset((tail,))] = ((tail,), value)
                     edge_acvs.append(value)
 
+            pair_pool: list[str] = []
             if config.include_hyperedges:
                 if config.max_tail_candidates is None:
                     pair_pool = others
@@ -940,18 +810,22 @@ class AssociationEngine:
                         others, key=lambda a: single_acv[a], reverse=True
                     )
                     pair_pool = pair_pool[: config.max_tail_candidates]
+            # A pool of fewer than two tails has no pairs to count.
+            if len(pair_pool) >= 2:
                 index = self._attr_index
-                pairs: list[tuple[str, str, tuple[str, str]]] = []
+                # The block keys pairs in canonical (attribute) order, so
+                # its candidate set survives pool reorderings.
+                canonical_pool = sorted(pair_pool, key=index.__getitem__)
+                pairs = sync(
+                    head, 2, tuple(combinations(canonical_pool, 2)), row_codes
+                )
+                pair_rows, pair_sums = pairs.row_of, pairs.max_sums
                 for first, second in combinations(pair_pool, 2):
-                    # Canonical (attribute-order) key so a pair's persistent
-                    # count array survives pool reorderings between refreshes.
                     if index[first] < index[second]:
-                        pairs.append((first, second, (first, second)))
+                        pair = (first, second)
                     else:
-                        pairs.append((first, second, (second, first)))
-                pair_states = self._sync_tables_batch(head, [p for _, _, p in pairs])
-                for first, second, pair in pairs:
-                    value = pair_states[pair].max_sum / total
+                        pair = (second, first)
+                    value = pair_sums[pair_rows[pair]] / total
                     candidates += 1
                     best_constituent = max(single_acv[first], single_acv[second])
                     if (
@@ -1020,7 +894,7 @@ class AssociationEngine:
 
         Stale entries always describe the *current* refresh of their head
         (a newer refresh overwrites them), so the recorded total and the
-        live count arrays are mutually consistent.
+        head's count blocks are mutually consistent.
         """
         if not self._stale_payloads:
             return
@@ -1034,9 +908,9 @@ class AssociationEngine:
         for key in keys:
             tails, head, total = self._stale_payloads.pop(key)
             canonical = tuple(sorted(tails, key=index.__getitem__))
-            counts = self._tables[(head,) + canonical].counts
+            counts = self._blocks[(head, len(tails))].counts(canonical)
             if tails != canonical:
-                # The persistent array is stored under the canonical
+                # The block stores each candidate under the canonical
                 # attribute order; permute its tail axes to the payload's.
                 axes = [canonical.index(t) for t in tails] + [len(tails)]
                 counts = counts.transpose(axes)
@@ -1044,271 +918,163 @@ class AssociationEngine:
             self._hypergraph.update_edge(key[0], key[1], payload=table)
 
     # ------------------------------------------------------------------ count arrays
-    def _sync_head_counts(self, attribute: str) -> _CountState:
-        """Value counts of one column, maintained incrementally."""
-        store = self._store
-        n, generation = store.num_rows, store.generation
-        state = self._head_counts.get(attribute)
-        if state is None or state.generation != generation:
-            counts = np.bincount(store.codes(attribute), minlength=store.cardinality)
-            state = _CountState(counts, n, generation)
-            self._head_counts[attribute] = state
-            self._table_rebuilds += 1
-            _OBS_TABLE_REBUILDS.inc()
-        elif state.upto < n:
-            block = store.codes(attribute)[state.upto : n]
-            state.counts += np.bincount(block, minlength=state.counts.size)
-            state.group_max = None  # unused for the 1-d baseline state
-            state.max_sum = int(state.counts.max())
-            state.upto = n
-            self._table_increments += 1
-            _OBS_TABLE_INCREMENTS.inc()
-        if state.max_sum is None:
-            # Adopted with deferred derivation and already fully absorbed.
-            state.max_sum = int(state.counts.max())
-        return state
+    def _sync_block(
+        self,
+        head: str,
+        arity: int,
+        groups: tuple[tuple[str, ...], ...],
+        row_codes: dict[int, np.ndarray],
+    ) -> _CountBlock:
+        """The count block of ``head``'s ``groups``, current to the last row.
 
-    def _sync_table(self, head: str, tails: tuple[str, ...]) -> _CountState:
-        """The persistent contingency state of one candidate, brought up to date."""
-        store = self._store
-        n, generation = store.num_rows, store.generation
-        key = (head,) + tails
-        state = self._tables.get(key)
-        if state is None or state.generation != generation:
-            counts = contingency_from_codes(
-                [store.codes(t) for t in tails], store.codes(head), store.cardinality
-            )
-            state = _CountState(counts, n, generation)
-            self._tables[key] = state
-            self._tables_epoch += 1
-            self._table_rebuilds += 1
-            _OBS_TABLE_REBUILDS.inc()
-        elif state.upto < n:
-            self._tables_epoch += 1
-            cardinality = store.cardinality
-            block = slice(state.upto, n)
-            columns = [store.codes(t)[block] for t in tails]
-            columns.append(store.codes(head)[block])
-            if n - state.upto <= _SCALAR_BLOCK_LIMIT:
-                # Scalar fast path: bump one cell per row and roll the
-                # per-group maximum forward without touching the array.
-                if state.group_max is None:
-                    state.derive()
-                flat = state.flat
-                group_max = state.group_max
-                for cell in zip(*(column.tolist() for column in columns)):
-                    group = 0
-                    for code in cell[:-1]:
-                        group = group * cardinality + code
-                    index = group * cardinality + cell[-1]
-                    new_count = flat[index] + 1
-                    flat[index] = new_count
-                    if new_count > group_max[group]:
-                        state.max_sum += int(new_count - group_max[group])
-                        group_max[group] = new_count
-            else:
-                combined = columns[0].copy()
-                for column in columns[1:]:
-                    combined = combined * cardinality + column
-                state.flat += np.bincount(combined, minlength=state.flat.size)
-                state.group_max = state.counts.reshape(-1, cardinality).max(axis=1)
-                state.max_sum = int(state.group_max.sum())
-            state.upto = n
-            self._table_increments += 1
-            _OBS_TABLE_INCREMENTS.inc()
-        if state.max_sum is None:
-            # Adopted with deferred derivation and already fully absorbed.
-            state.derive()
-        return state
-
-    def _batch_plan(
-        self, head: str, groups: tuple[tuple[str, ...], ...]
-    ) -> _BatchPlan:
-        """The cached (or freshly built) gather plan for one sync group."""
-        key = (head, len(groups[0]), len(groups))
-        plan = self._batch_plans.get(key)
-        if plan is None or plan.groups != groups:
-            order: dict[str, int] = {}
-            for tails in groups:
-                for attribute in tails:
-                    order.setdefault(attribute, len(order))
-            selector = np.asarray(
-                [[order[a] for a in tails] for tails in groups], dtype=np.int64
-            )
-            plan = _BatchPlan(groups, tuple(order), selector)
-            self._batch_plans[key] = plan
-        return plan
-
-    def _bulk_candidate_counts(
-        self, head: str, groups: Sequence[tuple[str, ...]], start: int
-    ) -> np.ndarray:
-        """Per-candidate flat contingency counts over rows ``[start, n)``.
-
-        All ``groups`` must share one arity.  Candidates are folded into a
-        single code space (candidate index in the highest digits), so one
-        ``bincount`` per chunk produces every candidate's histogram at
-        once; each row of the result equals that candidate's own
-        :func:`contingency_from_codes` over the block, element for element.
+        The block is replaced by a new one — seeded from adopted states
+        when they cover every candidate at one ``upto``, zeros otherwise —
+        when the domain grew or states were adopted for it, and re-keyed
+        (:meth:`_regroup_block`) when the candidate set changed.  Either way
+        the rows it has not absorbed are then counted in
+        (:meth:`_count_rows`) and the max sums recomputed.  Each candidate
+        counts once per sync in ``EngineCounters``: as a rebuild when it
+        was counted from row 0, as an increment otherwise.
         """
         store = self._store
-        n = store.num_rows
-        cardinality = store.cardinality
-        block = slice(start, n)
-        arity = len(groups[0])
-        size = cardinality ** (arity + 1)
-        head_codes = store.codes(head)[block]
-        # Fetch each distinct tail column once; candidates gather rows out
-        # of this matrix instead of re-slicing the store per candidate.
-        # The candidate set of a head is stable across refreshes, so the
-        # gather plan (column order + selector matrix) is cached and only
-        # rebuilt when the group actually changes.
-        plan = self._batch_plan(head, tuple(groups))
-        columns = np.stack([store.codes(a)[block] for a in plan.tail_order])
-        selector = plan.selector
-        out = np.empty((len(groups), size), dtype=np.int64)
-        chunk = max(1, (1 << 22) // max(n - start, 1))
-        for lo in range(0, len(groups), chunk):
-            hi = min(lo + chunk, len(groups))
-            combined = columns[selector[lo:hi, 0]].astype(np.int64, copy=True)
-            combined += np.arange(hi - lo, dtype=np.int64)[:, np.newaxis] * cardinality
-            for position in range(1, arity):
-                combined *= cardinality
-                combined += columns[selector[lo:hi, position]]
-            combined *= cardinality
-            combined += head_codes
-            flat = np.bincount(combined.reshape(-1), minlength=(hi - lo) * size)
-            out[lo:hi] = flat.reshape(hi - lo, size)
-        return out
-
-    def _sync_tables_batch(
-        self, head: str, tail_groups: Sequence[tuple[str, ...]]
-    ) -> dict[tuple[str, ...], _CountState]:
-        """Bring many same-arity candidates of one head up to date together.
-
-        The batched sibling of :meth:`_sync_table`: candidates needing the
-        same work are grouped — full rebuilds in one bucket, increments
-        keyed by how many rows their state already absorbed — and each
-        group is counted with one joint ``bincount``
-        (:meth:`_bulk_candidate_counts`) plus one batched ``group_max``,
-        instead of a bincount, reshape, and two reductions per candidate.
-        Counts are integers, so the batched arithmetic is bit-identical to
-        the per-candidate path; blocks small enough for the scalar fast
-        path, blocks past ``_BATCH_BLOCK_LIMIT`` (where the per-candidate
-        arrays are cache-resident and the loop wins), lone candidates, and
-        already-current states still take :meth:`_sync_table`.
-
-        A sync that brings every candidate current in one batched bucket
-        leaves their count rows aliasing one shared matrix and records
-        that alignment on the head's :class:`_BatchPlan`; while no state
-        is touched outside this method (``_tables_epoch`` unchanged), the
-        next sync advances the whole group in three array operations with
-        no per-candidate partition at all — the steady-state refresh path.
-        """
-        states: dict[tuple[str, ...], _CountState] = {}
-        if not tail_groups:
-            return states
-        store = self._store
         n, generation = store.num_rows, store.generation
-        cardinality = store.cardinality
-        groups = tuple(tail_groups)
-        plan = self._batch_plans.get((head, len(groups[0]), len(groups)))
-        if (
-            plan is not None
-            and plan.members is not None
-            and plan.epoch == self._tables_epoch
-            and plan.generation == generation
-            and n - plan.upto <= _BATCH_BLOCK_LIMIT
-            and plan.groups == groups
-        ):
-            if plan.upto < n:
+        key = (head, arity)
+        block = self._blocks.get(key)
+        adopted = self._adopted.pop(key, None)
+        entering = 0
+        if block is None or block.generation != generation or adopted is not None:
+            block = self._new_block(arity, groups, adopted or {})
+            self._blocks[key] = block
+        elif block.groups != groups:
+            block, entering = self._regroup_block(head, block, groups, row_codes)
+            self._blocks[key] = block
+        start = block.upto
+        if start < n:
+            codes = self._row_codes(start, row_codes)
+            if len(groups) > 1:
+                # The obs batch metrics cover multi-candidate syncs only.
+                _OBS_BATCH_CANDIDATES.record(len(groups))
                 with _OBS_BATCH_REFRESH.time(head=head, candidates=len(groups)):
-                    _OBS_BATCH_CANDIDATES.record(len(groups))
-                    plan.matrix += self._bulk_candidate_counts(
-                        head, groups, plan.upto
-                    )
-                    plan.group_max[:] = batched_group_max(plan.matrix, cardinality)
-                    max_sums = plan.group_max.sum(axis=1).tolist()
-                    for state, max_sum in zip(plan.members, max_sums):
-                        state.max_sum = max_sum
-                        state.upto = n
-                    plan.upto = n
-                    self._table_increments += len(groups)
-                    _OBS_TABLE_INCREMENTS.inc(len(groups))
-            return dict(zip(groups, plan.members))
-        rebuild: list[tuple[str, ...]] = []
-        increments: dict[int, list[tuple[str, ...]]] = {}
-        for tails in groups:
-            state = self._tables.get((head,) + tails)
-            if state is None or state.generation != generation:
-                if n <= _BATCH_BLOCK_LIMIT:
-                    rebuild.append(tails)
-                else:
-                    states[tails] = self._sync_table(head, tails)
-            elif (
-                state.upto < n
-                and _SCALAR_BLOCK_LIMIT < n - state.upto <= _BATCH_BLOCK_LIMIT
-            ):
-                increments.setdefault(state.upto, []).append(tails)
+                    self._count_rows(head, block, codes)
             else:
-                states[tails] = self._sync_table(head, tails)
-        aligned: tuple[list[_CountState], np.ndarray, np.ndarray] | None = None
-        for start, group in [(0, rebuild)] + sorted(increments.items()):
-            if not group:
-                continue
-            if len(group) == 1:
-                states[group[0]] = self._sync_table(head, group[0])
-                continue
-            with _OBS_BATCH_REFRESH.time(head=head, candidates=len(group)):
-                _OBS_BATCH_CANDIDATES.record(len(group))
-                shape = (cardinality,) * (len(group[0]) + 1)
-                counts = self._bulk_candidate_counts(head, group, start)
-                members: list[_CountState] = []
-                if start == 0:
-                    group_max = batched_group_max(counts, cardinality)
-                    max_sums = group_max.sum(axis=1).tolist()
-                    for i, tails in enumerate(group):
-                        state = _CountState(
-                            counts[i].reshape(shape),
-                            n,
-                            generation,
-                            defer_derived=True,
-                        )
-                        state.group_max = group_max[i]
-                        state.max_sum = max_sums[i]
-                        self._tables[(head,) + tails] = state
-                        states[tails] = state
-                        members.append(state)
-                    self._table_rebuilds += len(group)
-                    _OBS_TABLE_REBUILDS.inc(len(group))
-                else:
-                    members = [self._tables[(head,) + tails] for tails in group]
-                    counts += np.stack([state.flat for state in members])
-                    group_max = batched_group_max(counts, cardinality)
-                    max_sums = group_max.sum(axis=1).tolist()
-                    for i, tails in enumerate(group):
-                        # Each state adopts its row of the batch matrix;
-                        # rows are disjoint, so later in-place updates
-                        # (scalar fast path) stay per-candidate.
-                        state = members[i]
-                        state.counts = counts[i].reshape(shape)
-                        state.flat = counts[i]
-                        state.group_max = group_max[i]
-                        state.max_sum = max_sums[i]
-                        state.upto = n
-                        states[tails] = state
-                    self._table_increments += len(group)
-                    _OBS_TABLE_INCREMENTS.inc(len(group))
-                if len(group) == len(groups):
-                    aligned = (members, counts, group_max)
-        if aligned is not None:
-            plan = self._batch_plan(head, groups)
-            plan.members, plan.matrix, plan.group_max = aligned
-            plan.upto = n
-            plan.generation = generation
-            plan.epoch = self._tables_epoch
-        elif plan is not None:
-            plan.members = None
-        return states
+                self._count_rows(head, block, codes)
+            block.upto = n
+            if start == 0:
+                self._table_rebuilds += len(groups)
+                _OBS_TABLE_REBUILDS.inc(len(groups))
+            elif len(groups) > entering:
+                self._table_increments += len(groups) - entering
+                _OBS_TABLE_INCREMENTS.inc(len(groups) - entering)
+        if start < n or block.max_sums is None:
+            group_max = batched_group_max(block.matrix, store.cardinality)
+            block.max_sums = group_max.sum(axis=1).tolist()
+        return block
+
+    def _new_block(
+        self,
+        arity: int,
+        groups: tuple[tuple[str, ...], ...],
+        adopted: Mapping[tuple[str, ...], tuple[np.ndarray, int]],
+    ) -> _CountBlock:
+        """A block over ``groups``, seeded from ``adopted`` states if it can be.
+
+        Adopted states seed the block only when they cover every candidate
+        and all absorbed the same number of rows; otherwise the block
+        starts empty at row 0 (a rebuild).
+        """
+        store = self._store
+        cardinality = store.cardinality
+        index = self._attr_index
+        tail_indices = np.array(
+            [[index[a] for a in tails] for tails in groups], dtype=np.int64
+        )
+        columns, selector = np.unique(tail_indices, return_inverse=True)
+        selector = selector.reshape(len(groups), arity)
+        shape = (cardinality,) * (arity + 1)
+        picked = [adopted.get(tails) for tails in groups]
+        uptos = {state[1] for state in picked if state is not None}
+        if groups and None not in picked and len(uptos) == 1:
+            matrix = np.stack([counts.reshape(-1) for counts, _ in picked])
+            upto = uptos.pop()
+        else:
+            matrix = np.zeros((len(groups), cardinality ** (arity + 1)), np.int64)
+            upto = 0
+        return _CountBlock(
+            groups, columns, selector, shape, matrix, upto, store.generation
+        )
+
+    def _regroup_block(
+        self,
+        head: str,
+        old: _CountBlock,
+        groups: tuple[tuple[str, ...], ...],
+        row_codes: dict[int, np.ndarray],
+    ) -> tuple[_CountBlock, int]:
+        """``old`` re-keyed to ``groups``, at ``old.upto``; also how many entered.
+
+        Candidates in both keep their rows of ``old``; only the entering
+        ones are counted, over the rows ``old`` has absorbed, so a pool
+        change costs its new candidates' history rather than the whole
+        block's.
+        """
+        arity = old.selector.shape[1]
+        block = self._new_block(arity, groups, {})
+        kept = [row for row, tails in enumerate(groups) if tails in old.row_of]
+        block.matrix[kept] = old.matrix[[old.row_of[groups[row]] for row in kept]]
+        entering = tuple(tails for tails in groups if tails not in old.row_of)
+        if entering:
+            fresh = self._new_block(arity, entering, {})
+            codes = self._row_codes(0, row_codes)[:, : old.upto]
+            self._count_rows(head, fresh, codes)
+            block.matrix[[block.row_of[tails] for tails in entering]] = fresh.matrix
+            self._table_rebuilds += len(entering)
+            _OBS_TABLE_REBUILDS.inc(len(entering))
+        block.upto = old.upto
+        return block, len(entering)
+
+    def _row_codes(self, start: int, cache: dict[int, np.ndarray]) -> np.ndarray:
+        """Codes of rows ``[start, n)`` as an ``(attributes, rows)`` matrix."""
+        codes = cache.get(start)
+        if codes is None:
+            store = self._store
+            codes = np.stack([store.codes(a)[start:] for a in self._attributes])
+            cache[start] = codes
+        return codes
+
+    def _count_rows(self, head: str, block: _CountBlock, codes: np.ndarray) -> None:
+        """Add the rows in ``codes`` to every candidate of ``block``.
+
+        Candidate ``g``'s cell codes are offset by ``g * cells`` so one
+        ``bincount`` per tile yields every candidate's histogram side by
+        side.  Each of the block's tail columns is scaled by its place
+        value once per sync — the last tail together with the head
+        column — so a tile costs one gather and one add per tail.  A tile
+        holds at most ``_TILE_ELEMENTS`` codes, which bounds the
+        temporaries.
+        """
+        cardinality = self._store.cardinality
+        head_codes = codes[self._attr_index[head]]
+        candidates, cells = block.matrix.shape
+        arity = block.selector.shape[1]
+        if arity == 0:
+            block.matrix[0] += np.bincount(head_codes, minlength=cells)
+            return
+        used = codes[block.columns]
+        scaled = [used * cardinality ** (arity - p) for p in range(arity - 1)]
+        used *= cardinality
+        used += head_codes
+        scaled.append(used)
+        step = max(1, _TILE_ELEMENTS // head_codes.size)
+        offsets = np.arange(min(step, candidates), dtype=np.int64)[:, None] * cells
+        for lo in range(0, candidates, step):
+            hi = min(lo + step, candidates)
+            tile = block.selector[lo:hi]
+            combined = scaled[0][tile[:, 0]]
+            combined += offsets[: hi - lo]
+            for position in range(1, arity):
+                combined += scaled[position][tile[:, position]]
+            counts = np.bincount(combined.reshape(-1), minlength=(hi - lo) * cells)
+            block.matrix[lo:hi] += counts.reshape(hi - lo, cells)
 
     # ------------------------------------------------------------------ count-state persistence
     def count_state_stamp(self) -> dict[str, int]:
@@ -1331,9 +1097,11 @@ class AssociationEngine:
         dirty heads).  Keys are ``(head,)`` for per-column baseline counts
         and ``(head, *tails)`` for contingency tables; values are
         ``(counts, upto)`` pairs ready for
-        :func:`repro.engine.counts.save_count_states`.  States left behind
-        by an earlier domain generation are omitted — their code space no
-        longer exists.
+        :func:`repro.engine.counts.save_count_states`; the arrays are views
+        of the engine's live count blocks.  Blocks left behind by an earlier
+        domain generation are omitted — their code space no longer exists —
+        and adopted states not yet merged into a block are exported as
+        adopted.
         """
         self._materialize_staged_counts()
         index = self._attr_index
@@ -1345,16 +1113,15 @@ class AssociationEngine:
                 wanted.add(head)
         generation = self._store.generation
         states: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}
-        for attribute, state in self._head_counts.items():
-            if state.generation != generation:
-                continue
-            if wanted is None or attribute in wanted:
-                states[(index[attribute],)] = (state.counts, state.upto)
-        for key, state in self._tables.items():
-            if state.generation != generation:
-                continue
-            if wanted is None or key[0] in wanted:
-                states[tuple(index[a] for a in key)] = (state.counts, state.upto)
+        for (head, _arity), block in self._blocks.items():
+            if block.generation == generation and (wanted is None or head in wanted):
+                for tails in block.groups:
+                    key = (index[head],) + tuple(index[t] for t in tails)
+                    states[key] = (block.counts(tails), block.upto)
+        for (head, _arity), adopted in self._adopted.items():
+            if wanted is None or head in wanted:
+                for tails, state in adopted.items():
+                    states[(index[head],) + tuple(index[t] for t in tails)] = state
         return states
 
     def stage_count_states(self, loader: Any) -> None:
@@ -1376,13 +1143,10 @@ class AssociationEngine:
         loader, self._count_loader = self._count_loader, None
         states = loader()
         if states:
-            self.adopt_count_states(states, defer_derived=True)
+            self.adopt_count_states(states)
 
     def adopt_count_states(
-        self,
-        states: Mapping[tuple[int, ...], tuple[np.ndarray, int]],
-        *,
-        defer_derived: bool = False,
+        self, states: Mapping[tuple[int, ...], tuple[np.ndarray, int]]
     ) -> int:
         """Attach restored count arrays (the recovery hook); returns how many.
 
@@ -1390,18 +1154,18 @@ class AssociationEngine:
         (callers gate on :meth:`count_state_stamp` — in particular the
         domain digest — before adopting); a state whose ``upto`` is behind
         the store is fine and is caught up incrementally on its head's
-        next refresh, which is what makes recovery O(new rows).  A state
-        that is structurally impossible against the current store raises
+        next refresh, which is what makes recovery O(new rows).  Adopted
+        states replace their candidates' counts at that refresh: a head's
+        block is seeded from them when they cover all its candidates at
+        one ``upto``, and rebuilt from the rows otherwise.  A state that is
+        structurally impossible against the current store raises
         :class:`~repro.exceptions.EngineError`.
         """
         store = self._store
         cardinality = store.cardinality
         num_rows = store.num_rows
-        generation = store.generation
         num_attributes = len(self._attributes)
         attributes = self._attributes
-        head_counts = self._head_counts
-        tables = self._tables
         int64 = np.int64
         adopted = 0
         for key, (counts, upto) in states.items():
@@ -1424,13 +1188,10 @@ class AssociationEngine:
                     f"{cardinality}-value domain requires "
                     f"{(cardinality,) * len(key)}"
                 )
-            state = _CountState(array, upto, generation, defer_derived=defer_derived)
-            if len(key) == 1:
-                head_counts[attributes[key[0]]] = state
-            else:
-                tables[tuple(attributes[i] for i in key)] = state
+            names = tuple(attributes[i] for i in key)
+            pending = self._adopted.setdefault((names[0], len(names) - 1), {})
+            pending[names[1:]] = (array, upto)
             adopted += 1
-        self._tables_epoch += 1
         return adopted
 
     # ------------------------------------------------------------------ statistics
@@ -1805,5 +1566,5 @@ class AssociationEngine:
                     f"snapshot's rows and domain; refusing to adopt stale "
                     "count arrays — delete the sidecar or re-save"
                 )
-            engine.adopt_count_states(archive.states, defer_derived=True)
+            engine.adopt_count_states(archive.states)
         return engine

@@ -121,13 +121,9 @@ def create_app(manager: TenantManager) -> "fastapi.FastAPI":
     ops = fastapi.APIRouter()
 
     @ops.get("/health")
-    def health() -> dict[str, Any]:
-        stats = manager.stats()
-        return schemas.HealthResponse(
-            status="ok",
-            resident_tenants=stats.resident_tenants,
-            known_datasets=stats.known_datasets,
-        ).to_dict()
+    def health() -> Any:
+        health = schemas.HealthResponse.build(manager.stats())
+        return JSONResponse(status_code=health.http_status, content=health.to_dict())
 
     @ops.get("/stats")
     def stats() -> dict[str, Any]:

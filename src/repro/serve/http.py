@@ -171,12 +171,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _dispatch(self, method: str, manager: TenantManager, parts: list[str]) -> Any:
         if method == "GET" and parts == ["health"]:
-            stats = manager.stats()
-            return 200, schemas.HealthResponse(
-                status="ok",
-                resident_tenants=stats.resident_tenants,
-                known_datasets=stats.known_datasets,
-            ).to_dict()
+            health = schemas.HealthResponse.build(manager.stats())
+            return health.http_status, health.to_dict()
         if method == "GET" and parts == ["stats"]:
             return 200, schemas.StatsResponse.build(manager.stats()).to_dict()
         if method == "GET" and parts == ["metrics"]:

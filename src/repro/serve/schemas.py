@@ -384,6 +384,8 @@ class TenantResponse:
     queue_depth: int
     publishes: int
     resident: bool
+    publish_failures: int
+    last_publish_error: str | None
 
     @classmethod
     def build(cls, stats: TenantStats) -> "TenantResponse":
@@ -395,9 +397,31 @@ class TenantResponse:
 
 @dataclass(frozen=True)
 class HealthResponse:
+    """``status`` is ``"degraded"`` while any resident tenant's last
+    snapshot publish failed; ``degraded_tenants`` names them."""
+
     status: str
     resident_tenants: int
     known_datasets: int
+    degraded_tenants: list[str]
+
+    @classmethod
+    def build(cls, stats: ManagerStats) -> "HealthResponse":
+        degraded = sorted(
+            name
+            for name, tenant in stats.tenants.items()
+            if tenant.last_publish_error is not None
+        )
+        return cls(
+            status="degraded" if degraded else "ok",
+            resident_tenants=stats.resident_tenants,
+            known_datasets=stats.known_datasets,
+            degraded_tenants=degraded,
+        )
+
+    @property
+    def http_status(self) -> int:
+        return 503 if self.degraded_tenants else 200
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

@@ -33,6 +33,7 @@ Everything here is stdlib-only; the HTTP transports live in
 
 from __future__ import annotations
 
+import logging
 import queue
 import re
 import threading
@@ -55,6 +56,8 @@ from repro.storage import CompactionPolicy, DurableEngine
 
 __all__ = ["EngineSnapshot", "TenantManager", "TenantStats"]
 
+_LOG = logging.getLogger(__name__)
+
 _OBS_PUBLISH = obs.timer("serve.publish", "snapshot clone + atomic reference swap")
 _OBS_APPEND = obs.timer("serve.append", "append enqueue to durable acknowledgement")
 _OBS_QUERY = {
@@ -62,6 +65,9 @@ _OBS_QUERY = {
     for name in ("similarity", "neighbors", "clusters", "dominators", "classify")
 }
 _OBS_PUBLISHES = obs.counter("serve.publishes", "snapshot versions published")
+_OBS_PUBLISH_FAILURES = obs.counter(
+    "serve.publish_failures", "snapshot publishes that raised (retried later)"
+)
 _OBS_EVICTIONS = obs.counter("serve.evictions", "tenants LRU-evicted to durable dirs")
 _OBS_OPENS = obs.counter("serve.tenant_opens", "tenants opened or re-opened")
 _OBS_TENANTS = obs.gauge("serve.tenants", "tenants currently resident")
@@ -103,7 +109,12 @@ class EngineSnapshot:
 
 @dataclass(frozen=True)
 class TenantStats:
-    """Operational summary of one resident tenant."""
+    """Operational summary of one resident tenant.
+
+    ``last_publish_error`` is set while the writer's latest publish
+    attempt failed (readers keep the previous snapshot until a retry
+    succeeds); ``publish_failures`` counts failed attempts.
+    """
 
     dataset_id: str
     version: int
@@ -112,6 +123,8 @@ class TenantStats:
     queue_depth: int
     publishes: int
     resident: bool
+    publish_failures: int = 0
+    last_publish_error: str | None = None
 
 
 class _CloseOp:
@@ -156,6 +169,8 @@ class _Tenant:
         self._gate = threading.Lock()  # serializes enqueue vs close
         self._closed = False
         self._publishes = 0
+        self._publish_failures = 0
+        self._publish_error: str | None = None
         self.snapshot: EngineSnapshot = self._build_snapshot()
         self._thread = threading.Thread(
             target=self._writer_loop, name=f"serve-writer-{dataset_id}", daemon=True
@@ -226,6 +241,8 @@ class _Tenant:
             queue_depth=self.queue_depth,
             publishes=self._publishes,
             resident=True,
+            publish_failures=self._publish_failures,
+            last_publish_error=self._publish_error,
         )
 
     # ------------------------------------------------------------- writer side
@@ -249,8 +266,8 @@ class _Tenant:
             if since_publish and (
                 self._queue.empty() or since_publish >= _PUBLISH_EVERY_BATCHES
             ):
-                self._publish()
-                since_publish = 0
+                if self._publish():
+                    since_publish = 0
 
     def _shutdown(self, op: _CloseOp) -> None:
         try:
@@ -300,8 +317,23 @@ class _Tenant:
         _OBS_PUBLISHES.inc()
         return snapshot
 
-    def _publish(self) -> None:
-        self.snapshot = self._build_snapshot()  # atomic reference swap
+    def _publish(self) -> bool:
+        """Swap in a fresh snapshot; True on success.
+
+        A failed build leaves readers on the previous snapshot and the
+        writer alive: the error is counted and reported through
+        :meth:`stats`, and the writer retries after its next batch.
+        """
+        try:
+            self.snapshot = self._build_snapshot()  # atomic reference swap
+        except Exception as error:  # the writer must outlive a failed publish
+            _LOG.exception("publishing tenant %r failed", self.dataset_id)
+            self._publish_failures += 1
+            self._publish_error = f"{type(error).__name__}: {error}"
+            _OBS_PUBLISH_FAILURES.inc()
+            return False
+        self._publish_error = None
+        return True
 
 
 @dataclass(frozen=True)

@@ -210,12 +210,12 @@ class TestEdgeSegments:
             kernels.set_backend("simd-of-the-gaps")
 
     def test_numba_request_degrades_gracefully(self):
-        # The optional JIT package is absent here: requesting it must land
-        # on a working exact backend, not fail.
-        assert kernels.set_backend("numba") == "numpy"
+        # There is no JIT backend: requesting one is a typed configuration
+        # error that leaves the active exact backend in place.
+        with pytest.raises(ConfigurationError):
+            kernels.set_backend("numba")
         assert kernels.active_backend() == "numpy"
-        assert "numpy" in kernels.available_backends()
-        assert "fsum" in kernels.available_backends()
+        assert kernels.available_backends() == ("numpy", "fsum")
 
 
 class TestAccumulator:

@@ -123,6 +123,25 @@ class TestObservabilityFlags:
         assert "replay.incremental" in captured
 
 
+    def test_compact_honours_metrics_out(self, tmp_path, capsys):
+        from repro import obs
+        from repro.storage import DurableEngine
+
+        directory = tmp_path / "store"
+        with DurableEngine.create(directory, attributes=("A", "B", "C")) as durable:
+            durable.append_rows([[0, 1, 2], [1, 1, 0], [2, 0, 1]])
+        metrics = tmp_path / "metrics.json"
+        exit_code = main(
+            ["compact", "--durable", str(directory), "--metrics-out", str(metrics)]
+        )
+        assert exit_code == 0
+        assert "== compact ==" in capsys.readouterr().out
+        snapshot = json.loads(metrics.read_text())
+        assert snapshot["counters"]["storage.compactions"] == 1
+        assert snapshot["histograms"]["storage.open"]["count"] == 1
+        assert not obs.active_registry().enabled
+
+
 class TestLoadgenCommand:
     """The 'loadgen' subcommand: hermetic self-serve runs and validation."""
 

@@ -215,6 +215,39 @@ def test_error_envelopes_over_http(served):
     assert (response.status, body["error"]["code"]) == (400, "bad_request")
 
 
+def test_health_degrades_while_a_publish_fails(served):
+    client, manager = served
+    client.post("/v1/tenants", {"dataset_id": "ops", "attributes": ATTRIBUTES})
+    client.post("/v1/tenants/ops/append", {"rows": rows(10)})
+    wait_for_rows(client, "ops", 10)
+    tenant = manager._resolve("ops")
+    build = tenant._build_snapshot
+
+    def failing():
+        raise RuntimeError("no space left")
+
+    tenant._build_snapshot = failing
+    status, _ = client.post("/v1/tenants/ops/append", {"rows": rows(2, start=10)})
+    assert status == 200
+    deadline = time.monotonic() + 10
+    while manager.tenant_stats("ops").last_publish_error is None:
+        assert time.monotonic() < deadline, "the publish never failed"
+        time.sleep(0.01)
+    status, body = client.get("/health")
+    assert status == 503
+    assert body["status"] == "degraded" and body["degraded_tenants"] == ["ops"]
+    status, body = client.get("/v1/tenants/ops")
+    assert body["publish_failures"] >= 1
+    assert body["last_publish_error"] == "RuntimeError: no space left"
+
+    tenant._build_snapshot = build
+    client.post("/v1/tenants/ops/append", {"rows": rows(1, start=12)})
+    wait_for_rows(client, "ops", 13)
+    status, body = client.get("/health")
+    assert status == 200 and body["status"] == "ok"
+    assert body["degraded_tenants"] == []
+
+
 def test_corrupted_tenant_maps_to_storage_corruption(served):
     client, manager = served
     client.post("/v1/tenants", {"dataset_id": "bad", "attributes": ATTRIBUTES})

@@ -271,6 +271,37 @@ def test_rejected_batch_surfaces_typed_error_and_mutates_nothing(manager):
     assert wait_until(lambda: manager.snapshot("strict").num_rows == 25)
 
 
+def test_publish_failure_keeps_the_writer_alive(manager):
+    """A publish that raises must not kill the writer: the batch still
+    acks, readers keep the previous snapshot, the error is reported in the
+    tenant's stats, and the next applied batch retries the publish."""
+    manager.create_tenant("flaky", ATTRIBUTES)
+    manager.append("flaky", rows(10))
+    assert wait_until(lambda: manager.snapshot("flaky").num_rows == 10)
+    tenant = manager._resolve("flaky")
+    build = tenant._build_snapshot
+    calls = []
+
+    def fail_once():
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("publish exploded")
+        return build()
+
+    tenant._build_snapshot = fail_once
+    assert manager.append("flaky", rows(5, start=10)) == 5
+    assert wait_until(lambda: manager.tenant_stats("flaky").publish_failures == 1)
+    stats = manager.tenant_stats("flaky")
+    assert stats.last_publish_error == "RuntimeError: publish exploded"
+    assert manager.snapshot("flaky").num_rows == 10
+
+    assert manager.append("flaky", rows(5, start=15), timeout=10.0) == 5
+    assert wait_until(lambda: manager.snapshot("flaky").num_rows == 20)
+    stats = manager.tenant_stats("flaky")
+    assert stats.last_publish_error is None
+    assert stats.publish_failures == 1
+
+
 def test_unknown_query_operation(manager):
     manager.create_tenant("ops", ATTRIBUTES)
     with pytest.raises(ServeError):

@@ -54,27 +54,19 @@ def row_batches():
 
 
 def assert_counts_bit_identical(recovered: AssociationEngine, twin: AssociationEngine):
-    """Refresh both engines and compare every count state exactly."""
+    """Refresh both engines and compare every exported count state exactly."""
     # Adoption is lazy; exporting forces any staged archive to materialize
     # (a refresh alone would skip it when nothing is dirty).
     recovered.export_count_states()
     recovered.refresh()
     twin.refresh()
-    assert set(recovered._tables) == set(twin._tables)
-    for key, twin_state in twin._tables.items():
-        state = recovered._tables[key]
-        if state.max_sum is None:  # adopted but not yet consulted
-            state.derive()
-        assert np.array_equal(state.counts, twin_state.counts), key
-        assert state.max_sum == twin_state.max_sum, key
-        assert state.upto == twin_state.upto, key
-    assert set(recovered._head_counts) == set(twin._head_counts)
-    for attribute, twin_state in twin._head_counts.items():
-        state = recovered._head_counts[attribute]
-        if state.max_sum is None:
-            state.derive()
-        assert np.array_equal(state.counts, twin_state.counts), attribute
-        assert state.max_sum == twin_state.max_sum, attribute
+    states = recovered.export_count_states()
+    twin_states = twin.export_count_states()
+    assert set(states) == set(twin_states)
+    for key, (twin_counts, twin_upto) in twin_states.items():
+        counts, upto = states[key]
+        assert np.array_equal(counts, twin_counts), key
+        assert upto == twin_upto, key
 
 
 class TestRecoveredCountParity:
